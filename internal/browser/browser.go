@@ -19,6 +19,7 @@ import (
 	"strings"
 	"time"
 
+	"github.com/parcel-go/parcel/internal/discovery"
 	"github.com/parcel-go/parcel/internal/eventsim"
 	"github.com/parcel-go/parcel/internal/htmlparse"
 	"github.com/parcel-go/parcel/internal/minijs"
@@ -106,7 +107,7 @@ type Options struct {
 	// MaxDepth bounds recursive discovery (iframes, document.write chains).
 	MaxDepth int
 	// ExecCache routes scripts through the process-wide execution-outcome
-	// cache (see execcache.go). Replay is validated to be bit-identical to
+	// cache (internal/discovery). Replay is validated to be bit-identical to
 	// execution; the batched sweep engine enables it, the legacy per-task
 	// path leaves it off.
 	ExecCache bool
@@ -155,7 +156,7 @@ type Engine struct {
 
 	// rec collects the outcome of the script currently executing for the
 	// exec cache; nil outside a recording run.
-	rec *execRecorder
+	rec *discovery.Recorder
 
 	// DOMOps counts script-driven DOM mutations (instrumentation).
 	DOMOps int
@@ -364,7 +365,7 @@ func (e *Engine) processHTML(r Result, blocking bool, depth int) {
 		// artifact cache: every scheme and round loading this document
 		// shares one immutable DOM. The parse cost above is modelled from
 		// the byte length either way.
-		root, nodes, ok := cachedHTML(r.Body)
+		root, nodes, ok := discovery.HTML(r.Body)
 		if !ok {
 			// Treat unparseable HTML like an empty page (browser resilience).
 			e.finish(blocking)
@@ -420,7 +421,7 @@ func (w *docWalker) resume() {
 				}
 			}
 		case "style":
-			for _, u := range cachedAssetURLs(n.Text, w.baseURL) {
+			for _, u := range discovery.AssetURLs(n.Text, w.baseURL) {
 				e.requestObject(u, w.blocking, w.depth+1)
 			}
 		case "script":
@@ -475,7 +476,7 @@ func (e *Engine) processCSS(r Result, blocking bool, depth int) {
 	cost := perKB(e.opt.CPU.CSSParsePerKB, len(r.Body))
 	e.task(cost, func() {
 		if depth < e.opt.MaxDepth {
-			for _, ref := range cachedCSSRefs(r.Body, r.URL) {
+			for _, ref := range discovery.CSSRefs(r.Body, r.URL) {
 				e.requestObject(ref.URL, blocking, depth+1)
 			}
 		}
@@ -497,7 +498,7 @@ func (e *Engine) discoverFromTree(root *htmlparse.Node, baseURL string, blocking
 		e.requestObject(res.URL, b, depth+1)
 	}
 	for _, css := range htmlparse.InlineStyles(root) {
-		for _, u := range cachedAssetURLs(css, baseURL) {
+		for _, u := range discovery.AssetURLs(css, baseURL) {
 			e.requestObject(u, blocking, depth+1)
 		}
 	}
@@ -599,3 +600,57 @@ func (e *Engine) addEffect(fn func()) {
 	}
 	*e.effects = append(*e.effects, fn)
 }
+
+// execCachedThen runs prog through the exec-outcome cache: replay on a
+// validated hit, plain or recording execution otherwise. The caller has
+// already accounted one pending unit, exactly as for runBufferedThen.
+func (e *Engine) execCachedThen(prog *minijs.Program, ctx scriptCtx, then func()) {
+	hit, _ := discovery.Exec(e.in, prog, e.opt.FixedRandom, func(rec *discovery.Recorder) error {
+		e.rec = rec
+		var runErr error
+		e.runBufferedThen(ctx, func() error {
+			runErr = e.in.Run(prog)
+			return runErr
+		}, then)
+		e.rec = nil
+		return runErr
+	})
+	if hit != nil {
+		e.applyOutcome(hit, ctx, then)
+	}
+}
+
+// applyOutcome applies a replayed outcome's effects. It mirrors real
+// execution's timeline exactly: global writes and op charging already
+// happened synchronously (scripts execute inline in virtual time), effects
+// apply after the modelled CPU cost on the engine core.
+func (e *Engine) applyOutcome(ent *discovery.Outcome, ctx scriptCtx, then func()) {
+	cost := time.Duration(ent.Ops()) * e.opt.CPU.JSOp
+	e.task(cost, func() {
+		for _, ef := range ent.Effects() {
+			switch ef.Kind {
+			case discovery.EffectFetch:
+				url := htmlparse.ResolveURL(ctx.baseURL, ef.S)
+				if url == "" {
+					continue
+				}
+				e.requestObject(url, ef.Respect && ctx.blocking, ctx.depth+1)
+			case discovery.EffectWrite:
+				if root, ok := discovery.HTMLString(ef.S); ok {
+					e.discoverFromTree(root, ctx.baseURL, ctx.blocking, ctx.depth+1)
+				}
+			case discovery.EffectDOM:
+				e.DOMOps++
+			}
+		}
+		e.finish(ctx.blocking)
+		if then != nil {
+			then()
+		}
+	})
+}
+
+// Prewarm is discovery.Prewarm: internal/scenario calls it while building a
+// topology, so parsing and script compilation are cache hits by the time
+// engines run.
+func Prewarm(url, contentType string, body []byte) { discovery.Prewarm(url, contentType, body) }

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"time"
 
+	"github.com/parcel-go/parcel/internal/discovery"
 	"github.com/parcel-go/parcel/internal/htmlparse"
 	"github.com/parcel-go/parcel/internal/minijs"
 )
@@ -36,9 +37,7 @@ func (e *Engine) bindBuiltins() {
 		if fn == nil {
 			return minijs.Null(), fmt.Errorf("setTimeout second arg must be a function")
 		}
-		if e.rec != nil {
-			e.rec.cacheable = false // timer captures an engine-bound closure
-		}
+		e.rec.Uncacheable() // timer captures an engine-bound closure
 		ctx := *e.curCtx
 		e.addEffect(func() {
 			e.TimersSet++
@@ -63,9 +62,7 @@ func (e *Engine) bindBuiltins() {
 		if fn == nil {
 			return minijs.Null(), fmt.Errorf("onEvent third arg must be a function")
 		}
-		if e.rec != nil {
-			e.rec.cacheable = false // handler captures an engine-bound closure
-		}
+		e.rec.Uncacheable() // handler captures an engine-bound closure
 		key := event + "/" + target
 		e.addEffect(func() {
 			e.handlers[key] = append(e.handlers[key], fn)
@@ -80,23 +77,17 @@ func (e *Engine) bindBuiltins() {
 		if e.opt.FixedRandom {
 			// The web-page-replay rewrite (§7.3): a constant replaces the
 			// random so proxy and client derive identical URLs.
-			if e.rec != nil {
-				e.rec.needsFixedRandom = true
-			}
+			e.rec.UsedFixedRandom()
 			return minijs.Number(4), nil
 		}
-		if e.rec != nil {
-			e.rec.cacheable = false // consumes the simulation RNG stream
-		}
+		e.rec.Uncacheable() // consumes the simulation RNG stream
 		return minijs.Number(float64(e.sim.Rand().Intn(n))), nil
 	})
 	e.in.BindNative("log", func(args []minijs.Value) (minijs.Value, error) {
 		return minijs.Null(), nil
 	})
 	domOp := func(args []minijs.Value) (minijs.Value, error) {
-		if e.rec != nil {
-			e.rec.effects = append(e.rec.effects, execEffect{kind: effectDOM})
-		}
+		e.rec.DOM()
 		e.addEffect(func() { e.DOMOps++ })
 		return minijs.Null(), nil
 	}
@@ -106,12 +97,10 @@ func (e *Engine) bindBuiltins() {
 				return minijs.Null(), nil
 			}
 			html := args[0].Str()
-			if e.rec != nil {
-				e.rec.effects = append(e.rec.effects, execEffect{kind: effectWrite, s: html})
-			}
+			e.rec.Write(html)
 			ctx := *e.curCtx
 			e.addEffect(func() {
-				root, ok := cachedHTMLString(html)
+				root, ok := discovery.HTMLString(html)
 				if !ok {
 					return
 				}
@@ -131,9 +120,7 @@ func (e *Engine) builtinFetch(args []minijs.Value, respectCtx bool) (minijs.Valu
 		return minijs.Null(), fmt.Errorf("fetch needs a URL")
 	}
 	raw := args[0].Str()
-	if e.rec != nil {
-		e.rec.effects = append(e.rec.effects, execEffect{kind: effectFetch, s: raw, respect: respectCtx})
-	}
+	e.rec.Fetch(raw, respectCtx)
 	ctx := *e.curCtx
 	url := htmlparse.ResolveURL(ctx.baseURL, raw)
 	if url == "" {

@@ -619,6 +619,11 @@ func (c *Client) Object(url string, timeout time.Duration) (mhtml.Part, error) {
 
 	c.mu.Lock()
 	defer c.mu.Unlock()
+	if c.closed {
+		// A hung-up client answers ErrClosed whatever already arrived, so
+		// the result does not depend on racing the proxy's pushes.
+		return mhtml.Part{}, ErrClosed
+	}
 	requested := false
 	for {
 		if p, ok := c.store[url]; ok {
@@ -701,6 +706,9 @@ func (c *Client) WaitComplete(timeout time.Duration) (CompleteNote, error) {
 
 	c.mu.Lock()
 	defer c.mu.Unlock()
+	if c.closed {
+		return CompleteNote{}, ErrClosed
+	}
 	for !c.notified {
 		if c.rerr != nil {
 			return CompleteNote{}, c.rerr

@@ -7,7 +7,7 @@ import (
 	"sync"
 	"time"
 
-	"github.com/parcel-go/parcel/internal/cssparse"
+	"github.com/parcel-go/parcel/internal/discovery"
 	"github.com/parcel-go/parcel/internal/htmlparse"
 	"github.com/parcel-go/parcel/internal/minijs"
 	"github.com/parcel-go/parcel/internal/webgen"
@@ -26,9 +26,19 @@ type Object struct {
 // cross-session object cache with single-flight de-duplication in front.
 type fetchFunc func(url string) (body []byte, contentType string, status int, err error)
 
+// scriptCtx is the context script builtins resolve and classify fetches in.
+type scriptCtx struct {
+	baseURL  string
+	blocking bool
+	depth    int
+}
+
 // crawler performs the proxy-side object identification of §4.2 over real
 // HTTP: it parses HTML and CSS and executes page JavaScript to discover
-// every object, fetching concurrently on the proxy's fast path.
+// every object, fetching concurrently on the proxy's fast path. Parsing and
+// script execution go through internal/discovery, the caches the simulated
+// browser uses too, so a page's scripts are interpreted once per process and
+// replayed by every later session whose interpreter state validates.
 type crawler struct {
 	fetch       fetchFunc
 	fixedRandom bool
@@ -37,23 +47,28 @@ type crawler struct {
 	onLoad      func()       // all onload-blocking work done
 	onIdle      func()       // all work (including timers) done
 
+	// spawn runs one fetch-and-process step concurrently, and after arms a
+	// page timer and returns its cancel. Sessions use goroutines and
+	// wall-clock timers; tests substitute a FIFO and a virtual clock.
+	spawn func(func())
+	after func(time.Duration, func()) (cancel func() bool)
+
 	mu              sync.Mutex
 	requested       map[string]bool
 	pendingBlocking int
 	pendingTotal    int
 	onloadFired     bool
 	idleFired       bool
+	stopped         bool
+	timers          []func() bool // cancels of armed page timers
 
 	jsMu sync.Mutex
 	js   *minijs.Interp
 	rng  *rand.Rand
-
-	// jsCtx is the active script context (guarded by jsMu during Run).
-	jsCtx struct {
-		baseURL  string
-		blocking bool
-		depth    int
-	}
+	// jsCtx is the active script context and rec the exec-outcome recorder
+	// of the script being recorded (nil otherwise); both guarded by jsMu.
+	jsCtx scriptCtx
+	rec   *discovery.Recorder
 
 	// Errors collects tolerated page errors.
 	errMu  sync.Mutex
@@ -68,9 +83,13 @@ func newCrawler(fetch fetchFunc, fixedRandom bool, onObject func(Object), onLoad
 		onObject:    onObject,
 		onLoad:      onLoad,
 		onIdle:      onIdle,
-		requested:   make(map[string]bool),
-		js:          minijs.New(),
-		rng:         rand.New(rand.NewSource(int64(webgen.FixedRandValue))),
+		spawn:       func(f func()) { go f() },
+		after: func(d time.Duration, f func()) func() bool {
+			return time.AfterFunc(d, f).Stop
+		},
+		requested: make(map[string]bool),
+		js:        minijs.New(),
+		rng:       rand.New(rand.NewSource(int64(webgen.FixedRandValue))),
 	}
 	c.bindBuiltins()
 	return c
@@ -78,6 +97,28 @@ func newCrawler(fetch fetchFunc, fixedRandom bool, onObject func(Object), onLoad
 
 // start crawls from the main URL.
 func (c *crawler) start(url string) { c.request(url, true, 0) }
+
+// stop ends the crawl with its session: no new request is accepted, armed
+// page timers are cancelled, and fetches already in flight are dropped when
+// they return. Without it a crawl outlives its client by up to the page's
+// longest timer, keeping the interpreter, parsed trees and session alive and
+// still fetching.
+func (c *crawler) stop() {
+	c.mu.Lock()
+	c.stopped = true
+	timers := c.timers
+	c.timers = nil
+	c.mu.Unlock()
+	for _, cancel := range timers {
+		cancel()
+	}
+}
+
+func (c *crawler) live() bool {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return !c.stopped
+}
 
 func (c *crawler) addError(err error) {
 	c.errMu.Lock()
@@ -88,7 +129,7 @@ func (c *crawler) addError(err error) {
 // request fetches url once; blocking objects gate the onload callback.
 func (c *crawler) request(url string, blocking bool, depth int) {
 	c.mu.Lock()
-	if c.requested[url] || depth > c.maxDepth {
+	if c.stopped || c.requested[url] || depth > c.maxDepth {
 		c.mu.Unlock()
 		return
 	}
@@ -99,8 +140,11 @@ func (c *crawler) request(url string, blocking bool, depth int) {
 	}
 	c.mu.Unlock()
 
-	go func() {
+	c.spawn(func() {
 		body, ct, status, err := c.fetch(url)
+		if !c.live() {
+			return
+		}
 		obj := Object{URL: url, ContentType: ct, Status: status, Body: body}
 		if err != nil {
 			c.addError(err)
@@ -111,7 +155,7 @@ func (c *crawler) request(url string, blocking bool, depth int) {
 			c.process(obj, blocking, depth)
 		}
 		c.finish(blocking)
-	}()
+	})
 }
 
 func (c *crawler) finish(blocking bool) {
@@ -142,46 +186,61 @@ func (c *crawler) finish(blocking bool) {
 func (c *crawler) process(obj Object, blocking bool, depth int) {
 	switch {
 	case strings.Contains(obj.ContentType, "html"):
-		root, err := htmlparse.Parse(obj.Body)
-		if err != nil {
-			c.addError(fmt.Errorf("parse %s: %w", obj.URL, err))
+		root, nodes, ok := discovery.HTML(obj.Body)
+		if !ok {
+			c.addError(fmt.Errorf("parse %s: malformed HTML", obj.URL))
 			return
 		}
 		for _, res := range htmlparse.Resources(root, obj.URL) {
-			b := blocking && !res.Async
-			c.request(res.URL, b, depth+1)
+			c.request(res.URL, blocking && !res.Async, depth+1)
 		}
-		for _, css := range htmlparse.InlineStyles(root) {
-			for _, u := range cssparse.AssetURLs(css, obj.URL) {
-				c.request(u, blocking, depth+1)
+		for _, n := range nodes {
+			switch {
+			case n.Tag == "style":
+				for _, u := range discovery.AssetURLs(n.Text, obj.URL) {
+					c.request(u, blocking, depth+1)
+				}
+			case n.Tag == "script" && n.Attr("src") == "" && strings.TrimSpace(n.Text) != "":
+				prog, err := minijs.Compile(n.Text)
+				c.execScript(prog, err, obj.URL, blocking, depth)
 			}
 		}
-		for _, script := range htmlparse.InlineScripts(root) {
-			c.execScript(script, obj.URL, blocking, depth)
-		}
 	case strings.Contains(obj.ContentType, "css"):
-		for _, ref := range cssparse.Refs(string(obj.Body), obj.URL) {
+		for _, ref := range discovery.CSSRefs(obj.Body, obj.URL) {
 			c.request(ref.URL, blocking, depth+1)
 		}
 	case strings.Contains(obj.ContentType, "javascript"):
-		c.execScript(string(obj.Body), obj.URL, blocking, depth)
+		prog, err := minijs.CompileBytes(obj.Body)
+		c.execScript(prog, err, obj.URL, blocking, depth)
 	}
 }
 
-// execScript runs page JS under the crawler's interpreter; its fetch/timer
-// builtins feed discovery.
-func (c *crawler) execScript(src, baseURL string, blocking bool, depth int) {
-	prog, err := minijs.Compile(src)
+// execScript runs one compiled page script under the crawler's interpreter;
+// its fetch/write/timer builtins feed discovery.
+func (c *crawler) execScript(prog *minijs.Program, err error, baseURL string, blocking bool, depth int) {
 	if err != nil {
 		c.addError(fmt.Errorf("js parse %s: %w", baseURL, err))
 		return
 	}
 	c.jsMu.Lock()
 	saved := c.jsCtx
-	c.jsCtx.baseURL = baseURL
-	c.jsCtx.blocking = blocking
-	c.jsCtx.depth = depth
-	err = c.js.Run(prog)
+	c.jsCtx = scriptCtx{baseURL: baseURL, blocking: blocking, depth: depth}
+	hit, err := discovery.Exec(c.js, prog, c.fixedRandom, func(rec *discovery.Recorder) error {
+		c.rec = rec
+		err := c.js.Run(prog)
+		c.rec = nil
+		return err
+	})
+	if hit != nil {
+		for _, ef := range hit.Effects() {
+			switch ef.Kind {
+			case discovery.EffectFetch:
+				c.fetchJS(ef.S, ef.Respect)
+			case discovery.EffectWrite:
+				c.write(ef.S)
+			}
+		}
+	}
 	c.jsCtx = saved
 	c.jsMu.Unlock()
 	if err != nil {
@@ -189,18 +248,60 @@ func (c *crawler) execScript(src, baseURL string, blocking bool, depth int) {
 	}
 }
 
+// fetchJS requests a URL a script fetched, resolved in the active context.
+// Caller holds jsMu.
+func (c *crawler) fetchJS(raw string, respectCtx bool) {
+	u := htmlparse.ResolveURL(c.jsCtx.baseURL, raw)
+	if u == "" {
+		return
+	}
+	c.request(u, respectCtx && c.jsCtx.blocking, c.jsCtx.depth+1)
+}
+
+// write discovers what document.write markup references — its resources,
+// inline-style assets and inline scripts — in the active context. Inline
+// scripts run at once, nested in the writing script; a recording that sees
+// them is marked non-cacheable, since replaying the write re-runs them.
+// Caller holds jsMu.
+func (c *crawler) write(html string) {
+	root, ok := discovery.HTMLString(html)
+	if !ok {
+		return
+	}
+	ctx := c.jsCtx
+	for _, res := range htmlparse.Resources(root, ctx.baseURL) {
+		c.request(res.URL, ctx.blocking && !res.Async, ctx.depth+1)
+	}
+	for _, css := range htmlparse.InlineStyles(root) {
+		for _, u := range discovery.AssetURLs(css, ctx.baseURL) {
+			c.request(u, ctx.blocking, ctx.depth+1)
+		}
+	}
+	for _, script := range htmlparse.InlineScripts(root) {
+		c.rec.Uncacheable()
+		prog, err := minijs.Compile(script)
+		if err != nil {
+			continue
+		}
+		if err := c.js.Run(prog); err != nil {
+			c.addError(err)
+		}
+	}
+}
+
+// bindBuiltins installs the proxy-side host environment. It mirrors the
+// simulated browser's (internal/browser), feeding the same exec-outcome
+// recorder, except that interaction handlers are dropped (they run on the
+// client) and nothing is costed.
 func (c *crawler) bindBuiltins() {
 	fetchFn := func(respectCtx bool) minijs.Native {
 		return func(args []minijs.Value) (minijs.Value, error) {
 			if len(args) < 1 {
 				return minijs.Null(), fmt.Errorf("fetch needs a URL")
 			}
-			u := htmlparse.ResolveURL(c.jsCtx.baseURL, args[0].Str())
-			if u == "" {
-				return minijs.Null(), nil
-			}
-			blocking := respectCtx && c.jsCtx.blocking
-			c.request(u, blocking, c.jsCtx.depth+1)
+			raw := args[0].Str()
+			c.rec.Fetch(raw, respectCtx)
+			c.fetchJS(raw, respectCtx)
 			return minijs.Null(), nil
 		}
 	}
@@ -215,15 +316,22 @@ func (c *crawler) bindBuiltins() {
 		if fn == nil {
 			return minijs.Null(), fmt.Errorf("setTimeout second arg must be a function")
 		}
+		c.rec.Uncacheable() // the timer captures an interpreter-bound closure
 		ctx := c.jsCtx
+		ctx.blocking = false
 		c.mu.Lock()
+		defer c.mu.Unlock()
+		if c.stopped {
+			return minijs.Null(), nil
+		}
 		c.pendingTotal++
-		c.mu.Unlock()
-		time.AfterFunc(time.Duration(ms)*time.Millisecond, func() {
+		c.timers = append(c.timers, c.after(time.Duration(ms)*time.Millisecond, func() {
+			if !c.live() {
+				return
+			}
 			c.jsMu.Lock()
 			saved := c.jsCtx
 			c.jsCtx = ctx
-			c.jsCtx.blocking = false
 			_, err := c.js.CallClosure(fn)
 			c.jsCtx = saved
 			c.jsMu.Unlock()
@@ -231,11 +339,14 @@ func (c *crawler) bindBuiltins() {
 				c.addError(err)
 			}
 			c.finish(false)
-		})
+		}))
 		return minijs.Null(), nil
 	})
 	c.js.BindNative("onEvent", func(args []minijs.Value) (minijs.Value, error) {
-		return minijs.Null(), nil // handlers run on the client, not the proxy
+		// Handlers run on the client, not the proxy; a browser engine
+		// replaying this outcome would still need to register them.
+		c.rec.Uncacheable()
+		return minijs.Null(), nil
 	})
 	c.js.BindNative("rand", func(args []minijs.Value) (minijs.Value, error) {
 		n := 1 << 20
@@ -243,35 +354,25 @@ func (c *crawler) bindBuiltins() {
 			n = int(args[0].Num())
 		}
 		if c.fixedRandom {
+			c.rec.UsedFixedRandom()
 			return minijs.Number(webgen.FixedRandValue), nil
 		}
+		c.rec.Uncacheable() // consumes the crawler's RNG stream
 		return minijs.Number(float64(c.rng.Intn(n))), nil
 	})
 	c.js.BindNative("log", func([]minijs.Value) (minijs.Value, error) { return minijs.Null(), nil })
-	domOp := minijs.NativeValue(func([]minijs.Value) (minijs.Value, error) { return minijs.Null(), nil })
+	domOp := minijs.NativeValue(func([]minijs.Value) (minijs.Value, error) {
+		c.rec.DOM()
+		return minijs.Null(), nil
+	})
 	c.js.Bind("document", minijs.Namespace(map[string]minijs.Value{
 		"write": minijs.NativeValue(func(args []minijs.Value) (minijs.Value, error) {
 			if len(args) < 1 {
 				return minijs.Null(), nil
 			}
-			root, err := htmlparse.Parse([]byte(args[0].Str()))
-			if err != nil {
-				return minijs.Null(), nil
-			}
-			ctx := c.jsCtx
-			for _, res := range htmlparse.Resources(root, ctx.baseURL) {
-				c.request(res.URL, ctx.blocking && !res.Async, ctx.depth+1)
-			}
-			for _, script := range htmlparse.InlineScripts(root) {
-				// Already under jsMu; run directly in the current context.
-				prog, perr := minijs.Compile(script)
-				if perr != nil {
-					continue
-				}
-				if rerr := c.js.Run(prog); rerr != nil {
-					c.addError(rerr)
-				}
-			}
+			html := args[0].Str()
+			c.rec.Write(html)
+			c.write(html)
 			return minijs.Null(), nil
 		}),
 		"append": domOp, "remove": domOp, "show": domOp, "hide": domOp,

@@ -111,6 +111,11 @@ type Proxy struct {
 	drained   atomic.Int64
 	closed    atomic.Bool
 
+	// sessionsChanged (capacity 1) holds a wake-up token whenever a session
+	// has exited or gone idle since Drain last looked, so Drain waits on
+	// events rather than polling.
+	sessionsChanged chan struct{}
+
 	shards []*shard
 }
 
@@ -160,6 +165,8 @@ func StartProxy(addr string, cfg ProxyConfig) (*Proxy, error) {
 		cfg:   cfg,
 		ln:    ln,
 		fetch: NewOriginFetcherN(cfg.OriginAddr, cfg.OriginConns),
+
+		sessionsChanged: make(chan struct{}, 1),
 	}
 	if cfg.Resilience != nil {
 		if err := cfg.Resilience.Validate(); err != nil {
@@ -206,13 +213,9 @@ func (p *Proxy) Close() error {
 	return err
 }
 
-// drainPoll is the Drain busy-wait granularity, and drainFlushFloor the
-// minimum window a straggler gets to read its TDrain notice off the wire even
-// when the drain deadline has already passed.
-const (
-	drainPoll       = 2 * time.Millisecond
-	drainFlushFloor = 100 * time.Millisecond
-)
+// drainFlushFloor is the minimum window a straggler gets to read its TDrain
+// notice off the wire even when the drain deadline has already passed.
+const drainFlushFloor = 100 * time.Millisecond
 
 // Drain retires the proxy gracefully: it stops admitting sessions, gives the
 // live ones until the deadline to finish delivering their pages, then hands
@@ -228,9 +231,7 @@ func (p *Proxy) Drain(timeout time.Duration) error {
 		err = nil
 	}
 	deadline := time.Now().Add(timeout)
-	for p.busySessions() > 0 && time.Now().Before(deadline) {
-		time.Sleep(drainPoll)
-	}
+	p.awaitSessions(deadline, func() bool { return p.busySessions() == 0 })
 	for _, s := range p.activeSessions() {
 		s.drainNotice()
 	}
@@ -241,16 +242,36 @@ func (p *Proxy) Drain(timeout time.Duration) error {
 	if flush < drainFlushFloor {
 		flush = drainFlushFloor
 	}
-	flushDeadline := time.Now().Add(flush)
-	for p.Sessions() > 0 && time.Now().Before(flushDeadline) {
-		time.Sleep(drainPoll)
-	}
+	p.awaitSessions(time.Now().Add(flush), func() bool { return p.Sessions() == 0 })
 	for _, s := range p.activeSessions() {
 		s.conn.Close()
 	}
 	p.wg.Wait()
 	p.fetch.Client.CloseIdleConnections()
 	return err
+}
+
+// awaitSessions blocks until done reports true or the deadline passes,
+// re-checking each time a session exits or goes idle.
+func (p *Proxy) awaitSessions(deadline time.Time, done func() bool) {
+	t := time.NewTimer(time.Until(deadline))
+	defer t.Stop()
+	for !done() {
+		select {
+		case <-p.sessionsChanged:
+		case <-t.C:
+			return
+		}
+	}
+}
+
+// sessionChanged leaves Drain a wake-up token, unless one is already
+// waiting.
+func (p *Proxy) sessionChanged() {
+	select {
+	case p.sessionsChanged <- struct{}{}:
+	default:
+	}
 }
 
 // DrainedSessions returns how many sessions were handed a TDrain notice.
@@ -418,6 +439,7 @@ type session struct {
 	completeQueued bool
 
 	bundler      *sched.Bundler
+	crawl        *crawler          // nil until the page request; stopped by teardown
 	cache        map[string]Object // session view; bodies nil when the shared cache holds them
 	have         map[string]bool   // resume manifest: objects the client holds
 	quiet        *time.Timer
@@ -560,11 +582,15 @@ func (s *session) drainNotice() {
 	}
 }
 
-// teardown releases everything a session holds: the connection, the pending
-// quiet timer, the writer goroutine, and any push-budget reservations. It
-// runs exactly once, when serve returns, and unregisters the session from its
-// shard.
+// teardown releases everything a session holds: the connection, the crawl
+// and its page timers, the pending quiet timer, the writer goroutine, and any
+// push-budget reservations. It runs exactly once, when serve returns (serve
+// also ran startPage, so s.crawl needs no lock), unregisters the session from
+// its shard and wakes a waiting Drain.
 func (s *session) teardown() {
+	if s.crawl != nil {
+		s.crawl.stop()
+	}
 	s.mu.Lock()
 	s.closed = true
 	if s.quiet != nil {
@@ -579,6 +605,7 @@ func (s *session) teardown() {
 	sh.mu.Lock()
 	delete(sh.active, s)
 	sh.mu.Unlock()
+	s.proxy.sessionChanged()
 }
 
 // writeLoop is the session's writer goroutine: it drains the send queue onto
@@ -622,6 +649,9 @@ func (s *session) writeLoop() {
 					haveCtl = true
 					break
 				}
+			}
+			if s.idleLocked() {
+				s.proxy.sessionChanged()
 			}
 			s.sendCond.Wait()
 		}
@@ -734,12 +764,12 @@ func (s *session) startPage(req PageRequest) bool {
 	s.bundler = sched.NewBundler(cfg.Sched, s.flushLocked)
 	s.mu.Unlock()
 
-	crawl := newCrawler(s.fetchURL, cfg.FixedRandom,
+	s.crawl = newCrawler(s.fetchURL, cfg.FixedRandom,
 		func(obj Object) { s.collect(obj) },
 		func() { s.onLoad() },
 		func() { /* completion handled by the quiet heuristic */ },
 	)
-	crawl.start(req.URL)
+	s.crawl.start(req.URL)
 	return true
 }
 
