@@ -9,7 +9,6 @@
 package eventsim
 
 import (
-	"container/heap"
 	"fmt"
 	"math/rand"
 	"time"
@@ -26,11 +25,9 @@ import (
 //parcelvet:pooled
 type Event struct {
 	at     time.Duration
-	seq    uint64
 	fn     func()
 	afn    func(any)
 	arg    any
-	index  int // heap index; -1 when not queued
 	cancel bool
 }
 
@@ -49,34 +46,71 @@ func (e *Event) Cancel() {
 // Cancelled reports whether Cancel was called on the event.
 func (e *Event) Cancelled() bool { return e.cancel }
 
-type eventHeap []*Event
+// queued is one slot of the event queue. The (at, seq) key sits next to the
+// Event pointer so sifting compares slice-local values instead of chasing a
+// pointer per comparison; seq, the schedule order, lives only here.
+type queued struct {
+	at  time.Duration
+	seq uint64
+	e   *Event
+}
 
-func (h eventHeap) Len() int { return len(h) }
-func (h eventHeap) Less(i, j int) bool {
-	if h[i].at != h[j].at {
-		return h[i].at < h[j].at
+// before is the queue's total order: earlier time first, then schedule order.
+func (a *queued) before(b *queued) bool {
+	return a.at < b.at || (a.at == b.at && a.seq < b.seq)
+}
+
+// eventQueue is a binary min-heap of queued slots ordered by (at, seq). It
+// is typed (no container/heap interface calls) and its sift loops are
+// written out here; since (at, seq) is a total order, the pop sequence is
+// fully determined by the pushes, whatever the heap layout.
+type eventQueue []queued
+
+func (q *eventQueue) push(e *Event, seq uint64) {
+	x := queued{at: e.at, seq: seq, e: e}
+	h := append(*q, x)
+	i := len(h) - 1
+	for i > 0 {
+		p := (i - 1) / 2
+		if !x.before(&h[p]) {
+			break
+		}
+		h[i] = h[p]
+		i = p
 	}
-	return h[i].seq < h[j].seq
+	h[i] = x
+	*q = h
 }
-func (h eventHeap) Swap(i, j int) {
-	h[i], h[j] = h[j], h[i]
-	h[i].index = i
-	h[j].index = j
-}
-func (h *eventHeap) Push(x any) {
-	e := x.(*Event)
-	e.index = len(*h)
-	*h = append(*h, e)
-}
-func (h *eventHeap) Pop() any {
-	old := *h
-	n := len(old)
-	e := old[n-1]
-	old[n-1] = nil
-	e.index = -1
-	*h = old[:n-1]
-	//parcelvet:allow pooldiscipline(heap.Interface plumbing: the popped Event goes straight to Step, which runs and forgets it; arena blocks are never recycled mid-run)
-	return e
+
+// pop removes and returns the earliest event. The queue must be non-empty.
+func (q *eventQueue) pop() *Event {
+	h := *q
+	top := h[0].e
+	n := len(h) - 1
+	x := h[n]
+	h[n] = queued{}
+	h = h[:n]
+	if n > 0 {
+		i := 0
+		for {
+			c := 2*i + 1
+			if c >= n {
+				break
+			}
+			if r := c + 1; r < n && h[r].before(&h[c]) {
+				c = r
+			}
+			if !h[c].before(&x) {
+				break
+			}
+			h[i] = h[c]
+			i = c
+		}
+		h[i] = x
+	}
+	*q = h
+	//parcelvet:allow pooldiscipline(queue plumbing: the popped Event goes straight to Step, which runs and forgets it; arena blocks are never recycled mid-run)
+	return top
 }
 
 // eventBlockSize is how many Events one arena block holds. Events are the
@@ -120,7 +154,7 @@ func (p *Pools) getBlock() []Event {
 // that panics on cross-goroutine use instead of corrupting the event heap.
 type Simulator struct {
 	now    time.Duration
-	queue  eventHeap
+	queue  eventQueue
 	seq    uint64
 	rng    *rand.Rand
 	fired  uint64
@@ -142,7 +176,7 @@ func New(seed int64) *Simulator { return NewWithPools(seed, nil) }
 func NewWithPools(seed int64, p *Pools) *Simulator {
 	s := &Simulator{
 		rng:   rand.New(rand.NewSource(seed)),
-		queue: make(eventHeap, 0, eventBlockSize),
+		queue: make(eventQueue, 0, eventBlockSize),
 		pools: p,
 	}
 	s.claimOwner()
@@ -225,8 +259,8 @@ func (s *Simulator) ScheduleAt(t time.Duration, fn func()) *Event {
 	s.checkOwner()
 	s.seq++
 	e := s.newEvent()
-	*e = Event{at: t, seq: s.seq, fn: fn, index: -1}
-	heap.Push(&s.queue, e)
+	*e = Event{at: t, fn: fn}
+	s.queue.push(e, s.seq)
 	//parcelvet:allow pooldiscipline(Event handles are arena-backed and valid for the simulator's lifetime; callers hold them only to Cancel)
 	return e
 }
@@ -245,8 +279,8 @@ func (s *Simulator) ScheduleArgAt(t time.Duration, fn func(any), arg any) *Event
 	s.checkOwner()
 	s.seq++
 	e := s.newEvent()
-	*e = Event{at: t, seq: s.seq, afn: fn, arg: arg, index: -1}
-	heap.Push(&s.queue, e)
+	*e = Event{at: t, afn: fn, arg: arg}
+	s.queue.push(e, s.seq)
 	//parcelvet:allow pooldiscipline(Event handles are arena-backed and valid for the simulator's lifetime; callers hold them only to Cancel)
 	return e
 }
@@ -256,7 +290,7 @@ func (s *Simulator) ScheduleArgAt(t time.Duration, fn func(any), arg any) *Event
 func (s *Simulator) Step() bool {
 	s.checkOwner()
 	for len(s.queue) > 0 {
-		e := heap.Pop(&s.queue).(*Event)
+		e := s.queue.pop()
 		if e.cancel {
 			continue
 		}
@@ -286,9 +320,9 @@ func (s *Simulator) Run() {
 // to exactly t.
 func (s *Simulator) RunUntil(t time.Duration) {
 	for len(s.queue) > 0 {
-		e := s.queue[0]
+		e := s.queue[0].e
 		if e.cancel {
-			heap.Pop(&s.queue)
+			s.queue.pop()
 			continue
 		}
 		if e.at > t {

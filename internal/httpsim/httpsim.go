@@ -119,10 +119,6 @@ type Server struct {
 
 	faults OriginFaults
 	stats  OriginFaultStats
-	// validators memoizes ContentValidator per URL: origin stores are
-	// immutable within a run, and hashing a large body on every request would
-	// put real work on the hot path for nothing.
-	validators map[string]string
 
 	// Requests counts requests served (including 404s).
 	Requests int
@@ -132,7 +128,7 @@ type Server struct {
 // per-request processing (think) time. sched is the simulation the host
 // belongs to.
 func NewServer(sched *eventsim.Simulator, host *simnet.Host, store Store, think time.Duration) *Server {
-	s := &Server{sched: sched, host: host, store: store, think: think, validators: make(map[string]string)}
+	s := &Server{sched: sched, host: host, store: store, think: think}
 	host.Listen(func(c *simnet.Conn) {
 		c.OnMessage(host, func(m simnet.Message) {
 			if _, isHello := m.Payload.(tlsHello); isHello {
@@ -159,7 +155,7 @@ func NewServer(sched *eventsim.Simulator, host *simnet.Host, store Store, think 
 					resp.Status = obj.Status
 				}
 				if found {
-					resp.Validator = s.validatorFor(req.URL, obj)
+					resp.Validator = validatorFor(obj)
 				}
 				if fault == faultPartial && resp.Status == 200 {
 					// A truncated transfer: half the body arrives, then the
@@ -185,17 +181,14 @@ func NewServer(sched *eventsim.Simulator, host *simnet.Host, store Store, think 
 	return s
 }
 
-// validatorFor resolves obj's content validator, memoizing derived hashes.
-func (s *Server) validatorFor(url string, obj Object) string {
+// validatorFor resolves obj's content validator: the pinned one when the
+// store carries it (generated page sets stamp every object once), otherwise
+// one derived from the body, for hand-built stores.
+func validatorFor(obj Object) string {
 	if obj.Validator != "" {
 		return obj.Validator
 	}
-	if v, ok := s.validators[url]; ok {
-		return v
-	}
-	v := ContentValidator(obj.Body)
-	s.validators[url] = v
-	return v
+	return ContentValidator(obj.Body)
 }
 
 // Directory maps domain names to the simnet hosts that serve them.

@@ -156,7 +156,18 @@ func Fleet(loads []SessionLoad) FleetReport {
 	}
 	if r.Sessions > 0 {
 		r.EgressPerSession = float64(r.EgressBytes) / float64(r.Sessions)
-		r.OriginPerSession = float64(r.OriginBytes) / float64(r.Sessions)
 	}
+	r.SetOriginBytes(r.OriginBytes)
 	return r
+}
+
+// SetOriginBytes replaces the fleet's origin byte total, for harnesses that
+// count origin fetches where they run rather than summing per-session
+// reports, and keeps OriginPerSession in step.
+func (r *FleetReport) SetOriginBytes(n int64) {
+	r.OriginBytes = n
+	r.OriginPerSession = 0
+	if r.Sessions > 0 {
+		r.OriginPerSession = float64(n) / float64(r.Sessions)
+	}
 }

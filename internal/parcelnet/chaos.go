@@ -156,6 +156,10 @@ func RunChaosLoadgen(cfg ChaosConfig) (ChaosResult, error) {
 		return ChaosResult{}, fmt.Errorf("parcelnet: proxy restart on %s: %w", addr, restartErr)
 	}
 	defer proxy2.Close()
+	// Close both incarnations before reading their origin totals: Close waits
+	// out crawl steps still fetching for sessions that already finished.
+	proxy1.Close()
+	proxy2.Close()
 
 	// Sessions that finished after the drain began lived through the handoff:
 	// tag them Phase 1 so the report's PhaseP99 splits steady-state latency
@@ -185,6 +189,7 @@ func RunChaosLoadgen(cfg ChaosConfig) (ChaosResult, error) {
 		BreakerFastFails: r1.BreakerFastFails + r2.BreakerFastFails,
 	}
 	res.Report.BreakerOpens = res.Resilience.BreakerOpens
+	res.Report.SetOriginBytes(proxy1.OriginBytesTotal() + proxy2.OriginBytesTotal())
 	return res, nil
 }
 

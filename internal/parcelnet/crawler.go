@@ -52,6 +52,11 @@ type crawler struct {
 	// wall-clock timers; tests substitute a FIFO and a virtual clock.
 	spawn func(func())
 	after func(time.Duration, func()) (cancel func() bool)
+	// inflight counts spawned steps until they return. It is added to only
+	// under mu while the crawl is live, so once stop has returned a Wait on
+	// it covers every step the crawl will ever run. Sessions point it at the
+	// proxy-wide group that Proxy.Close waits on.
+	inflight *sync.WaitGroup
 
 	mu              sync.Mutex
 	requested       map[string]bool
@@ -87,6 +92,7 @@ func newCrawler(fetch fetchFunc, fixedRandom bool, onObject func(Object), onLoad
 		after: func(d time.Duration, f func()) func() bool {
 			return time.AfterFunc(d, f).Stop
 		},
+		inflight:  new(sync.WaitGroup),
 		requested: make(map[string]bool),
 		js:        minijs.New(),
 		rng:       rand.New(rand.NewSource(int64(webgen.FixedRandValue))),
@@ -138,9 +144,11 @@ func (c *crawler) request(url string, blocking bool, depth int) {
 	if blocking {
 		c.pendingBlocking++
 	}
+	c.inflight.Add(1)
 	c.mu.Unlock()
 
 	c.spawn(func() {
+		defer c.inflight.Done()
 		body, ct, status, err := c.fetch(url)
 		if !c.live() {
 			return

@@ -138,6 +138,9 @@ func RunLoadgen(cfg LoadgenConfig) (LoadgenResult, error) {
 		}(i)
 	}
 	wg.Wait()
+	// Close before reading the origin total: it waits out crawl steps still
+	// fetching for sessions that already completed.
+	proxy.Close()
 
 	res := LoadgenResult{
 		Loads:          loads,
@@ -147,6 +150,9 @@ func RunLoadgen(cfg LoadgenConfig) (LoadgenResult, error) {
 		ProxyShed:      proxy.ShedTotal(),
 		SessionsServed: proxy.SessionsServed(),
 	}
+	// The fleet's origin bytes come from where the fetches ran, not from the
+	// per-session notes, which miss fetches that finish after their note.
+	res.Report.SetOriginBytes(proxy.OriginBytesTotal())
 	return res, nil
 }
 

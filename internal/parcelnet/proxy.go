@@ -110,6 +110,13 @@ type Proxy struct {
 	shedTotal atomic.Int64
 	drained   atomic.Int64
 	closed    atomic.Bool
+	// originBytes totals what every session's origin fetches pulled, counted
+	// where each fetch completes: a fetch that lands after its session's
+	// CompleteNote (a late timer ad) is in this total but in no note.
+	originBytes atomic.Int64
+	// crawls counts every session's in-flight crawl steps. Close waits for
+	// them, so originBytes is final once Close returns.
+	crawls sync.WaitGroup
 
 	// sessionsChanged (capacity 1) holds a wake-up token whenever a session
 	// has exited or gone idle since Drain last looked, so Drain waits on
@@ -196,7 +203,8 @@ func StartProxy(addr string, cfg ProxyConfig) (*Proxy, error) {
 func (p *Proxy) Addr() string { return p.ln.Addr().String() }
 
 // Close stops accepting sessions, tears down the active ones, and waits for
-// their goroutines to exit. After a Drain it only waits (the listener and
+// their goroutines, crawl steps still fetching included, to exit. After a
+// Drain it only waits (the listener and
 // sessions are already gone), so `defer proxy.Close()` composes with an
 // explicit drain.
 func (p *Proxy) Close() error {
@@ -209,6 +217,7 @@ func (p *Proxy) Close() error {
 		s.conn.Close()
 	}
 	p.wg.Wait()
+	p.crawls.Wait()
 	p.fetch.Client.CloseIdleConnections()
 	return err
 }
@@ -358,6 +367,21 @@ func (p *Proxy) DeferredTotal() int64 { return p.deferred.Load() }
 // ShedTotal returns how many objects admission control has shed to clients'
 // direct-origin paths so far.
 func (p *Proxy) ShedTotal() int64 { return p.shedTotal.Load() }
+
+// OriginBytesTotal returns how many body bytes the proxy has fetched from
+// origins on behalf of all its sessions. Unlike the sum of the sessions'
+// CompleteNotes it includes fetches that finished after their session's
+// note; it is final once Close has returned.
+func (p *Proxy) OriginBytesTotal() int64 { return p.originBytes.Load() }
+
+// addOriginBytes charges n origin body bytes to the session and to the
+// proxy-wide total.
+func (s *session) addOriginBytes(n int) {
+	s.mu.Lock()
+	s.originBytes += int64(n)
+	s.mu.Unlock()
+	s.proxy.originBytes.Add(int64(n))
+}
 
 // reserve claims n bytes of the proxy-wide push budget, failing when the
 // budget is exhausted (the shed signal). Reservations are released as the
@@ -769,6 +793,7 @@ func (s *session) startPage(req PageRequest) bool {
 		func() { s.onLoad() },
 		func() { /* completion handled by the quiet heuristic */ },
 	)
+	s.crawl.inflight = &s.proxy.crawls
 	s.crawl.start(req.URL)
 	return true
 }
@@ -785,9 +810,7 @@ func (s *session) fetchURL(url string) ([]byte, string, int, error) {
 	if p.cache == nil {
 		body, ct, status, err := p.fetch.Fetch(url)
 		if err == nil {
-			s.mu.Lock()
-			s.originBytes += int64(len(body))
-			s.mu.Unlock()
+			s.addOriginBytes(len(body))
 		}
 		return body, ct, status, err
 	}
@@ -800,9 +823,7 @@ func (s *session) fetchURL(url string) ([]byte, string, int, error) {
 		}
 		// Only the session whose fetch actually ran pays the origin bytes;
 		// single-flight joiners get the object for free.
-		s.mu.Lock()
-		s.originBytes += int64(len(body))
-		s.mu.Unlock()
+		s.addOriginBytes(len(body))
 		return objcache.Object{URL: url, ContentType: ct, Status: status, Validator: validator, Body: body}, nil
 	})
 	s.mu.Lock()

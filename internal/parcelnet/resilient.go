@@ -133,9 +133,7 @@ func (s *session) fetchResilient(url string) ([]byte, string, int, error) {
 	if p.cache == nil {
 		body, ct, status, _, err := p.res.do(url, onRetry)
 		if err == nil {
-			s.mu.Lock()
-			s.originBytes += int64(len(body))
-			s.mu.Unlock()
+			s.addOriginBytes(len(body))
 		}
 		return body, ct, status, err
 	}
@@ -146,9 +144,7 @@ func (s *session) fetchResilient(url string) ([]byte, string, int, error) {
 		}
 		// Only the session whose fetch actually ran pays the origin bytes;
 		// single-flight joiners get the object for free.
-		s.mu.Lock()
-		s.originBytes += int64(len(body))
-		s.mu.Unlock()
+		s.addOriginBytes(len(body))
 		return objcache.Object{URL: url, ContentType: ct, Status: status, Validator: validator, Body: body}, nil
 	})
 	s.mu.Lock()

@@ -134,11 +134,14 @@ func generateSet(spec Spec) []Page {
 			https: i%7 == 2,
 		}
 		page := generatePage(rng, cfg)
-		// Build the origin store once per page; every topology serving this
-		// page shares it read-only.
+		// Derive each object's content validator and build the origin store
+		// once per page; every topology serving this page shares both
+		// read-only, so no origin hashes a body per request.
 		page.store = make(httpsim.MapStore, len(page.Objects))
-		for _, o := range page.Objects {
-			page.store[o.URL] = o
+		for i := range page.Objects {
+			o := &page.Objects[i]
+			o.Validator = httpsim.ContentValidator(o.Body)
+			page.store[o.URL] = *o
 		}
 		pages = append(pages, page)
 	}
